@@ -20,8 +20,8 @@ import math
 
 import numpy as np
 
+from repro.sim._core import stable_hash64
 from repro.sim.packet import PacketType
-from repro.util.hashing import stable_hash64
 
 _DATA = PacketType.DATA
 

@@ -1,7 +1,8 @@
 """Rule ``twin-parity``: the compiled core exposes the pure surface.
 
 ``repro.sim._corec`` is a bit-exact C twin of the pure-Python engine;
-the dispatch layer swaps one for the other behind ``REPRO_ENGINE``.
+the selector in ``repro.sim._core`` swaps one for the other unless
+``REPRO_NO_COMPILED`` is set.
 That substitution is only sound while the *surfaces* agree — a method
 added to :class:`repro.sim.engine.Simulator` but not to ``sim_methods``
 (or vice versa) produces code that works on one engine build and
@@ -22,8 +23,14 @@ This rule diffs the two surfaces statically, per twin class
   call sites are the first thing to break on drift);
 * construction — ``tp_init``'s kwlist against pure ``__init__``.
 
+Module-level C functions (the ``PyModuleDef``'s ``m_methods`` table) are
+checked against :data:`TWIN_FUNCTIONS`: every C function needs a declared
+pure twin that exists as a top-level ``def`` in its module, and every
+declared twin must be in the C table.
+
 The parsing helpers (:func:`parse_c_surface`, :func:`parse_pure_surface`,
-:func:`compare_surfaces`) are pure functions over source text so the
+:func:`compare_surfaces`, :func:`parse_c_module_functions`,
+:func:`compare_module_functions`) are pure functions over source text so the
 self-test suite can seed mutations (rename a C method, drop a kwlist
 entry) and prove each drift class is caught.
 """
@@ -45,6 +52,11 @@ TWIN_CLASSES: dict[str, str] = {
     "Simulator": "Simulator_Type",
 }
 
+#: C module-level function -> the pure module defining its twin.
+TWIN_FUNCTIONS: dict[str, str] = {
+    "stable_hash64": "repro.util.hashing",
+}
+
 _TABLE_RE = re.compile(
     r"static\s+(PyMethodDef|PyMemberDef|PyGetSetDef)\s+(\w+)\[\]\s*=\s*\{"
     r"(.*?)\n\};",
@@ -53,6 +65,10 @@ _TABLE_RE = re.compile(
 _TYPE_RE = re.compile(
     r"static\s+PyTypeObject\s+(\w+)\s*=\s*\{(.*?)\n\};", re.DOTALL
 )
+_MODULE_RE = re.compile(
+    r"static\s+struct\s+PyModuleDef\s+\w+\s*=\s*\{(.*?)\n\};", re.DOTALL
+)
+_M_METHODS_RE = re.compile(r"\.m_methods\s*=\s*(\w+)")
 _METHOD_ENTRY_RE = re.compile(
     r"\{\s*\"(\w+)\"\s*,\s*(?:\(PyCFunction\))?\s*(\w+)\s*,"
     r"\s*([A-Z_|\s]+?)\s*,",
@@ -76,16 +92,62 @@ class ClassSurface:
     init_params: tuple[str, ...] | None = None
 
 
-def parse_c_surface(c_text: str) -> dict[str, ClassSurface]:
-    """Extract per-twin-class surfaces from ``_corec.c`` source text."""
+def _parse_tables(c_text: str) -> dict[str, list]:
+    """Every static method/member/getset table: name -> its entries."""
     tables: dict[str, list] = {}
-    table_kinds: dict[str, str] = {}
     for kind, name, body in _TABLE_RE.findall(c_text):
-        table_kinds[name] = kind
         if kind == "PyMethodDef":
             tables[name] = _METHOD_ENTRY_RE.findall(body)
         else:
             tables[name] = _NAME_ENTRY_RE.findall(body)
+    return tables
+
+
+def parse_c_module_functions(c_text: str) -> set[str]:
+    """Names in the ``m_methods`` table of ``_corec.c``'s module def."""
+    tables = _parse_tables(c_text)
+    names: set[str] = set()
+    for body in _MODULE_RE.findall(c_text):
+        match = _M_METHODS_RE.search(body)
+        if match and match.group(1) in tables:
+            names.update(name for name, _, _ in tables[match.group(1)])
+    return names
+
+
+def compare_module_functions(
+    c_functions: set[str],
+    pure_defs: dict[str, set[str] | None],
+) -> list[str]:
+    """Drift between C module functions and their declared pure twins.
+
+    ``pure_defs`` maps a pure module to its top-level function names, or
+    to None when that module is not in the analyzed set.
+    """
+    declared = TWIN_FUNCTIONS
+    drifts: list[str] = []
+    for name in sorted(c_functions - set(declared)):
+        drifts.append(
+            f"module function {name}: in the compiled core with no "
+            f"declared pure twin"
+        )
+    for name in sorted(set(declared) - c_functions):
+        drifts.append(
+            f"module function {name}: declared twin of "
+            f"{declared[name]}.{name} is missing from the compiled core"
+        )
+    for name in sorted(set(declared) & c_functions):
+        defs = pure_defs.get(declared[name])
+        if defs is not None and name not in defs:
+            drifts.append(
+                f"module function {name}: pure twin "
+                f"{declared[name]}.{name} does not exist"
+            )
+    return drifts
+
+
+def parse_c_surface(c_text: str) -> dict[str, ClassSurface]:
+    """Extract per-twin-class surfaces from ``_corec.c`` source text."""
+    tables = _parse_tables(c_text)
 
     # C function name -> kwlist names, matched to the enclosing function
     # definition (the last one opening before the kwlist declaration).
@@ -288,11 +350,11 @@ def compare_surfaces(
 @register_rule
 class TwinParityRule(LintRule):
     id = "twin-parity"
-    title = "_corec.c's exposed surface matches the pure engine"
+    title = "_corec.c's exposed surface matches its pure twins"
     rationale = (
-        "REPRO_ENGINE swaps the compiled core in transparently; surface "
-        "drift means code that works on one engine build and "
-        "AttributeErrors on the other"
+        "the compiled core is swapped in transparently unless "
+        "REPRO_NO_COMPILED is set; surface drift means code that works "
+        "on one engine build and AttributeErrors on the other"
     )
     scope = ()  # purely cross-file
     project_wide = True
@@ -307,6 +369,16 @@ class TwinParityRule(LintRule):
         c_text = c_path.read_text(encoding="utf-8")
         drifts = compare_surfaces(
             parse_c_surface(c_text), parse_pure_surface(engine.text)
+        )
+        pure_defs: dict[str, set[str] | None] = {}
+        for module in set(TWIN_FUNCTIONS.values()):
+            src = project.source_for(module)
+            pure_defs[module] = None if src is None else {
+                node.name for node in src.tree.body
+                if isinstance(node, ast.FunctionDef)
+            }
+        drifts += compare_module_functions(
+            parse_c_module_functions(c_text), pure_defs
         )
         return [
             engine.finding(

@@ -12,6 +12,9 @@
  * The golden-master suite and the scheduler fuzz test pin this: any
  * divergence from engine.py is a bug here, not a tolerance.
  *
+ * The module also holds stable_hash64, the twin of the pure function in
+ * repro/util/hashing.py (see the hashing section near the end).
+ *
  * Built optionally (setup.py marks the extension optional); the selector
  * in repro/sim/_core.py falls back to the pure engine when this module
  * is absent or REPRO_NO_COMPILED is set.
@@ -21,6 +24,7 @@
 #include <Python.h>
 #include <structmember.h>
 #include <math.h>
+#include <stdint.h>
 #include <string.h>
 
 /* ---------------------------------------------------------------- tuning */
@@ -1807,13 +1811,97 @@ static PyTypeObject Simulator_Type = {
     .tp_new = PyType_GenericNew,
 };
 
+/* --------------------------------------------------------------- hashing */
+
+/* stable_hash64(*parts): bit-exact twin of repro.util.hashing.stable_hash64,
+ * the spec.  FNV-1a is streamed over the same tagged encoding the pure
+ * function builds in a bytearray (tag byte, payload, 0x1F separator per
+ * part), then finished with fmix64.  Type dispatch follows the pure
+ * isinstance order (bool before int); ints are masked to 64 bits exactly
+ * like `part & _MASK_64`, and errors carry the same types and messages. */
+
+#define FNV_OFFSET_BASIS_64 0xCBF29CE484222325ULL
+#define FNV_PRIME_64 0x100000001B3ULL
+
+static inline uint64_t
+fnv1a_byte(uint64_t h, unsigned char byte)
+{
+    return (h ^ byte) * FNV_PRIME_64;
+}
+
+static inline uint64_t
+fnv1a_feed(uint64_t h, const char *p, Py_ssize_t n)
+{
+    for (Py_ssize_t i = 0; i < n; i++)
+        h = fnv1a_byte(h, (unsigned char)p[i]);
+    return h;
+}
+
+static PyObject *
+corec_stable_hash64(PyObject *Py_UNUSED(module), PyObject *const *args,
+                    Py_ssize_t nargs)
+{
+    uint64_t h = FNV_OFFSET_BASIS_64;
+    for (Py_ssize_t i = 0; i < nargs; i++) {
+        PyObject *part = args[i];
+        if (PyBool_Check(part)) {
+            h = fnv1a_byte(fnv1a_byte(h, 0x03), part == Py_True);
+        }
+        else if (PyLong_Check(part)) {
+            /* Never fails for an int: the mask is taken modulo 2**64. */
+            uint64_t v = PyLong_AsUnsignedLongLongMask(part);
+            h = fnv1a_byte(h, 0x01);
+            for (int shift = 56; shift >= 0; shift -= 8)  /* big-endian */
+                h = fnv1a_byte(h, (unsigned char)(v >> shift));
+        }
+        else if (PyUnicode_Check(part)) {
+            Py_ssize_t n;
+            const char *s = PyUnicode_AsUTF8AndSize(part, &n);
+            if (s == NULL)
+                return NULL;
+            h = fnv1a_feed(fnv1a_byte(h, 0x02), s, n);
+        }
+        else if (PyBytes_Check(part)) {
+            h = fnv1a_feed(fnv1a_byte(h, 0x04), PyBytes_AS_STRING(part),
+                           PyBytes_GET_SIZE(part));
+        }
+        else {
+            /* type(part).__name__, as the pure message has it (tp_name
+             * would be module-qualified for extension types). */
+            PyObject *name = PyObject_GetAttrString((PyObject *)Py_TYPE(part),
+                                                    "__name__");
+            if (name == NULL)
+                return NULL;
+            PyErr_Format(PyExc_TypeError, "unhashable part type: %U", name);
+            Py_DECREF(name);
+            return NULL;
+        }
+        h = fnv1a_byte(h, 0x1F);  /* unit separator */
+    }
+    /* fmix64 */
+    h ^= h >> 33;
+    h *= 0xFF51AFD7ED558CCDULL;
+    h ^= h >> 33;
+    h *= 0xC4CEB9FE1A85EC53ULL;
+    h ^= h >> 33;
+    return PyLong_FromUnsignedLongLong(h);
+}
+
 /* ---------------------------------------------------------------- module */
+
+static PyMethodDef corec_methods[] = {
+    {"stable_hash64", (PyCFunction)corec_stable_hash64,
+     METH_FASTCALL, "Stable 64-bit hash of int/str/bytes parts (compiled)."},
+    {NULL, NULL, 0, NULL}
+};
 
 static struct PyModuleDef corec_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "repro.sim._corec",
-    .m_doc = "Compiled simulation core (bit-exact twin of repro.sim.engine).",
+    .m_doc = "Compiled simulation core (bit-exact twin of repro.sim.engine "
+             "and of repro.util.hashing.stable_hash64).",
     .m_size = -1,
+    .m_methods = corec_methods,
 };
 
 PyMODINIT_FUNC

@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from enum import Enum
 
-from repro.util.hashing import stable_hash64
+from repro.sim._core import stable_hash64
 
 _packet_ids = itertools.count(1)
 

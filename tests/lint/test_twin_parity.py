@@ -12,15 +12,20 @@ from pathlib import Path
 import pytest
 
 import repro.sim.engine
+import repro.util.hashing
 from repro.lint.analyzer import analyze
 from repro.lint.rules.twin import (
+    compare_module_functions,
     compare_surfaces,
+    parse_c_module_functions,
     parse_c_surface,
     parse_pure_surface,
 )
 
 ENGINE_PY = Path(repro.sim.engine.__file__)
 COREC = ENGINE_PY.parent / "_corec.c"
+HASHING_PY = Path(repro.util.hashing.__file__)
+HASHING_DEFS = {"fnv1a_64", "fmix64", "stable_hash64"}
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +108,47 @@ class TestParity:
         assert any("events_done" in d for d in drifts)
 
 
+class TestModuleFunctions:
+    def test_c_module_table_shape(self, c_text):
+        assert parse_c_module_functions(c_text) == {"stable_hash64"}
+
+    def test_head_module_functions_agree(self, c_text):
+        drifts = compare_module_functions(
+            parse_c_module_functions(c_text),
+            {"repro.util.hashing": HASHING_DEFS},
+        )
+        assert drifts == []
+
+    def test_renamed_c_function_is_drift(self, c_text):
+        mutated = c_text.replace('{"stable_hash64"', '{"stable_hash64_v2"')
+        assert mutated != c_text
+        drifts = compare_module_functions(
+            parse_c_module_functions(mutated),
+            {"repro.util.hashing": HASHING_DEFS},
+        )
+        assert any(
+            "stable_hash64_v2" in d and "no declared pure twin" in d
+            for d in drifts
+        )
+        assert any(
+            "stable_hash64:" in d and "missing from the compiled" in d
+            for d in drifts
+        )
+
+    def test_missing_pure_twin_is_drift(self, c_text):
+        drifts = compare_module_functions(
+            parse_c_module_functions(c_text),
+            {"repro.util.hashing": HASHING_DEFS - {"stable_hash64"}},
+        )
+        assert any("does not exist" in d for d in drifts)
+
+    def test_pure_module_outside_analyzed_set_is_not_drift(self, c_text):
+        drifts = compare_module_functions(
+            parse_c_module_functions(c_text), {"repro.util.hashing": None}
+        )
+        assert drifts == []
+
+
 class TestRuleEndToEnd:
     def test_clean_on_real_tree(self):
         report = analyze([ENGINE_PY.parent])
@@ -120,3 +166,24 @@ class TestRuleEndToEnd:
         report = analyze([tmp_path], rules=["twin-parity"])
         twin = [f for f in report.all_findings if f.rule == "twin-parity"]
         assert twin and any("postpone" in f.message for f in twin)
+
+    def test_renamed_c_module_function_fails(self, tmp_path, c_text, py_text):
+        sim = tmp_path / "repro" / "sim"
+        util = tmp_path / "repro" / "util"
+        sim.mkdir(parents=True)
+        util.mkdir(parents=True)
+        (sim / "engine.py").write_text(py_text, encoding="utf-8")
+        (util / "hashing.py").write_text(
+            HASHING_PY.read_text(encoding="utf-8"), encoding="utf-8"
+        )
+        (sim / "_corec.c").write_text(c_text, encoding="utf-8")
+        clean = analyze([tmp_path], rules=["twin-parity"])
+        assert [f for f in clean.all_findings if f.rule == "twin-parity"] == []
+
+        (sim / "_corec.c").write_text(
+            c_text.replace('{"stable_hash64"', '{"stable_hash64_v2"'),
+            encoding="utf-8",
+        )
+        report = analyze([tmp_path], rules=["twin-parity"])
+        twin = [f for f in report.all_findings if f.rule == "twin-parity"]
+        assert any("stable_hash64_v2" in f.message for f in twin)

@@ -1,11 +1,28 @@
-"""Tests for repro.util.hashing."""
+"""Tests for repro.util.hashing and its compiled twin in repro.sim._corec."""
+
+import enum
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro
+from repro.sim._core import compiled
 from repro.util.hashing import fmix64, fnv1a_64, stable_hash64
+
+try:
+    from repro.sim._corec import stable_hash64 as c_stable_hash64
+except ImportError:  # extension not built (or built before the hash twin)
+    c_stable_hash64 = None
+
+needs_c_twin = pytest.mark.skipif(
+    c_stable_hash64 is None, reason="compiled core not built"
+)
 
 
 class TestFnv1a:
@@ -97,3 +114,93 @@ class TestStableHash64:
         for i in range(64 * 200):
             counts[stable_hash64(i) >> 58] += 1
         assert counts.min() > 100  # no starving bucket
+
+
+class Port(enum.IntEnum):
+    HTTP = 80
+    HIGH = 2**64 + 7  # wider than 64 bits: masked like a plain int
+
+
+class Blob(bytes):
+    pass
+
+
+_PARTS = st.one_of(
+    st.integers(min_value=-(2**100), max_value=2**100),
+    st.booleans(),
+    st.sampled_from(list(Port)),
+    st.text(max_size=12),  # arbitrary code points, surrogates excluded
+    st.binary(max_size=12),
+    st.binary(max_size=12).map(Blob),
+)
+
+
+class TestPinnedValues:
+    """Literal outputs, so neither twin can drift along with the other."""
+
+    def test_pure_values(self):
+        from repro.sim.packet import FlowKey
+
+        assert stable_hash64() == 0xEFD01F60BA992926
+        assert stable_hash64(0, 1) == 0x819871FD4CC53344
+        assert (
+            FlowKey(0x0A000001, 0x0A000101, 40000, 80).hashed()
+            == 0x7AF645B050F34798
+        )
+
+    @needs_c_twin
+    def test_compiled_values(self):
+        assert c_stable_hash64() == 0xEFD01F60BA992926
+        assert c_stable_hash64(0, 1) == 0x819871FD4CC53344
+        assert (
+            c_stable_hash64(0x0A000001, 0x0A000101, 40000, 80)
+            == 0x7AF645B050F34798
+        )
+
+
+@needs_c_twin
+class TestCompiledTwinParity:
+    @given(st.lists(_PARTS, max_size=6))  # the empty tuple included
+    def test_matches_pure(self, parts):
+        assert c_stable_hash64(*parts) == stable_hash64(*parts)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [3.14, None, bytearray(b"ab"), np.int64(3), np.float64(1.5), "\ud800"],
+        ids=["float", "None", "bytearray", "np.int64", "np.float64",
+             "lone-surrogate"],
+    )
+    def test_error_parity(self, bad):
+        raised = []
+        for fn in (stable_hash64, c_stable_hash64):
+            with pytest.raises(Exception) as info:
+                fn(1, "ok", bad)
+            raised.append((info.type, str(info.value)))
+        assert raised[0] == raised[1]
+
+
+class TestBinding:
+    """The per-packet call sites use the selected twin, never a silent
+    fallback picked up through import order."""
+
+    @pytest.mark.skipif(compiled is None, reason="compiled core not active")
+    def test_call_sites_bind_compiled(self):
+        import repro.counting.loglog
+        import repro.sim.packet
+
+        assert repro.sim.packet.stable_hash64 is compiled.stable_hash64
+        assert repro.counting.loglog.stable_hash64 is compiled.stable_hash64
+
+    def test_call_sites_bind_pure_when_forced(self):
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ, REPRO_NO_COMPILED="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        code = (
+            "import repro.counting.loglog as ll, repro.sim.packet as pk, "
+            "repro.util.hashing as h\n"
+            "assert pk.stable_hash64 is h.stable_hash64\n"
+            "assert ll.stable_hash64 is h.stable_hash64\n"
+        )
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
